@@ -1,11 +1,9 @@
 // Microbenchmark for the sorted-set intersection kernels behind the
-// Eq. (2) edge-cost stage (src/common/intersect.h): ns/op for every
-// kernel — two-pointer merge, galloping, blocked branch-light merge,
-// the adaptive dispatcher, and the dense-bitmap probe — across a
-// |small| x ratio grid from 1:1 to 1:10^4, with the Eq. (2) cap of 7.
-// The bitmap rows time the PROBE only (stamping is amortized across a
-// whole adjacency row in the real workload, exactly as ConScratch uses
-// it).
+// Eq. (2) con column build (src/common/intersect.h,
+// rank::BuildConColumn): ns/op for every kernel — two-pointer merge,
+// galloping, blocked branch-light merge, and the adaptive dispatcher —
+// across a |small| x ratio grid from 1:1 to 1:10^4, with the Eq. (2)
+// cap of 7.
 //
 // Writes BENCH_intersect.json. Headline metrics the perf gate consumes
 // (scripts/check_bench_regression.py):
@@ -40,7 +38,7 @@ using namespace rpg;
 
 using List = std::vector<uint32_t>;
 
-/// Eq. (2) cap (rank::WeightModel::kConCap).
+/// Eq. (2) cap (rank::kConCap).
 constexpr size_t kCap = 7;
 
 List RandomSortedList(Rng* rng, size_t len, uint32_t universe) {
@@ -77,7 +75,6 @@ struct Cell {
   double gallop_ns = 0.0;
   double blocked_ns = 0.0;
   double adaptive_ns = 0.0;
-  double bitmap_probe_ns = 0.0;
 };
 
 }  // namespace
@@ -128,22 +125,13 @@ int main() {
       cell.adaptive_ns = BestNsPerOp(trials, iters, [&] {
         sink = sink + intersect::CountCommon(a, b, kCap);
       });
-      // Bitmap: the large (high-degree) side is stamped once, probes
-      // walk the small side — the ConScratch row pattern.
-      intersect::NeighborBitmap bm;
-      bm.EnsureUniverse(universe);
-      bm.Stamp(b);
-      cell.bitmap_probe_ns = BestNsPerOp(trials, iters, [&] {
-        sink = sink + bm.CountCommon(a, kCap);
-      });
-      bm.Unstamp(b);
       grid.push_back(cell);
 
       std::printf(
           "small=%5zu ratio=%6zu  merge=%8.1fns gallop=%8.1fns "
-          "blocked=%8.1fns adaptive=%8.1fns bitmap=%8.1fns\n",
+          "blocked=%8.1fns adaptive=%8.1fns\n",
           cell.actual_small, ratio, cell.merge_ns, cell.gallop_ns,
-          cell.blocked_ns, cell.adaptive_ns, cell.bitmap_probe_ns);
+          cell.blocked_ns, cell.adaptive_ns);
     }
   }
   (void)sink;
@@ -172,7 +160,6 @@ int main() {
     json.Key("gallop_ns").Double(c.gallop_ns);
     json.Key("blocked_ns").Double(c.blocked_ns);
     json.Key("adaptive_ns").Double(c.adaptive_ns);
-    json.Key("bitmap_probe_ns").Double(c.bitmap_probe_ns);
     json.EndObject();
   }
   json.EndArray();

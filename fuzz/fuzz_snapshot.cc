@@ -8,8 +8,9 @@
 /// CSR monotonicity, postings doc-id range, permutation checks) has to
 /// hold on its own. When an input is accepted, every substrate the
 /// loader wired up is walked — adjacency spans, title/year/pagerank
-/// arrays, one BM25 query, one embedding row — so any lie the
-/// validators missed becomes an out-of-bounds read under ASan.
+/// arrays, the con column's length and range, one BM25 query, one
+/// embedding row — so any lie the validators missed becomes an
+/// out-of-bounds read under ASan.
 ///
 /// Build: -DRPG_BUILD_FUZZERS=ON with clang (libFuzzer); the same body
 /// also runs libFuzzer-free inside fuzz_smoke.cc (tier-1 ctest).
@@ -17,6 +18,7 @@
 #include <climits>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/logging.h"
@@ -43,6 +45,10 @@ inline void WalkState(const snapshot::ServingState& state) {
     for (graph::PaperId v : g.InNeighbors(u)) RPG_CHECK(v < n);
   }
   RPG_CHECK(title_bytes < (1u << 30));
+  // The Eq. (2) column the query path indexes by out-CSR position.
+  const std::span<const uint8_t> con = state.weights().con_column();
+  RPG_CHECK(con.size() == g.num_edges());
+  for (uint8_t c : con) RPG_CHECK(c >= 1 && c <= rank::kConCap);
   if (!state.new_to_old().empty()) {
     RPG_CHECK(state.new_to_old().size() == n);
   }

@@ -57,9 +57,10 @@ TABLE4_METRICS = [
 #
 # stages.edge_cost_ms is the ISSUE-9 optimization target pinned at its
 # post-rewrite level: the capped common-neighbor counting that used to
-# take ~13.4ms of the 20-query sample now measures ~4.3-5.7ms; 6.7 (2x
-# the old baseline's headroom, ~17% above the worst observed run) fails
-# the gate if the kernels or the ConScratch bitmap path fall off.
+# take ~13.4ms of the 20-query sample measured ~4.3-5.7ms once the
+# kernels were rewritten, and is now a per-edge lookup into the
+# precomputed con column; 6.7 fails the gate if per-query counting ever
+# comes back.
 TABLE4_LIMITS = [
     ("tracing.overhead_ratio", "max", 1.05, "tracing.compiled_in"),
     ("stages.attributed_fraction", "min", 0.90, "tracing.compiled_in"),

@@ -104,37 +104,4 @@ size_t CountCommon(std::span<const uint32_t> a, std::span<const uint32_t> b,
   return CountCommonBlocked(a, b, cap);
 }
 
-void NeighborBitmap::EnsureUniverse(size_t n) {
-  size_t words = (n + 63) / 64;
-  if (words > words_.size()) words_.resize(words, 0);
-}
-
-void NeighborBitmap::Stamp(std::span<const uint32_t> list) {
-  for (uint32_t v : list) words_[v >> 6] |= uint64_t{1} << (v & 63);
-}
-
-void NeighborBitmap::Unstamp(std::span<const uint32_t> list) {
-  for (uint32_t v : list) words_[v >> 6] &= ~(uint64_t{1} << (v & 63));
-}
-
-void NeighborBitmap::Clear() {
-  std::fill(words_.begin(), words_.end(), 0);
-}
-
-size_t NeighborBitmap::CountCommon(std::span<const uint32_t> probe,
-                                   size_t cap) const {
-  if (cap == 0) return 0;
-  size_t count = 0;
-  size_t i = 0;
-  const size_t n = probe.size();
-  while (i < n) {
-    // Same blocked shape as CountCommonBlocked: tight branchless probes,
-    // cap enforced per block.
-    size_t stop = std::min(n, i + kBlockSize);
-    for (; i < stop; ++i) count += Test(probe[i]);
-    if (count >= cap) return cap;
-  }
-  return std::min(count, cap);
-}
-
 }  // namespace rpg::intersect

@@ -3,8 +3,7 @@
 
 /// \file
 /// Sorted-set intersection kernels for the Eq. (2) common-neighbor
-/// counting hot path (ROADMAP item 4; see docs/benchmarks.md
-/// "BENCH_intersect.json").
+/// counts (see docs/benchmarks.md "BENCH_intersect.json").
 ///
 /// Contract shared by every kernel in this file:
 ///  - inputs are spans of uint32 ids, sorted ascending, duplicate-free
@@ -23,14 +22,12 @@
 /// one side is much shorter than the other (O(|small| log |large|)),
 /// the branch-light blocked merge wins for comparable sizes
 /// (O(|a| + |b|), cmov-friendly inner loop, cap checked once per
-/// block). The dense NeighborBitmap path is for callers that probe many
-/// lists against one fixed high-degree node: stamp once, O(|probe|)
-/// per count (rank::ConScratch builds these per subgraph row).
+/// block). The counts are computed once per graph
+/// (rank::BuildConColumn), not per query.
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace rpg::intersect {
 
@@ -66,51 +63,9 @@ size_t CountCommonBlocked(std::span<const uint32_t> a,
                           std::span<const uint32_t> b, size_t cap);
 
 /// Adaptive dispatcher: picks galloping vs blocked merge from the size
-/// ratio. This is the kernel WeightModel::Con uses for the scratch-free
-/// path.
+/// ratio. This is the kernel WeightModel::Con uses.
 size_t CountCommon(std::span<const uint32_t> a, std::span<const uint32_t> b,
                    size_t cap);
-
-/// Dense bit-set over a node universe [0, n) for repeated intersections
-/// against one fixed "stamped" set: Stamp(list) once, then
-/// CountCommon(probe, cap) is O(|probe|) regardless of the stamped
-/// list's length. Unstamp(list) with the SAME list returns the bitmap
-/// to all-zeros in O(|list|), so a long-lived bitmap (one per
-/// rank::ConScratch / core::QueryScratch) never pays an O(n) clear
-/// between sources.
-class NeighborBitmap {
- public:
-  NeighborBitmap() = default;
-
-  /// Grows the universe to at least n ids; new words are zero. Never
-  /// shrinks, so scratch reuse across graphs of different sizes is
-  /// allocation-free after the largest one.
-  void EnsureUniverse(size_t n);
-
-  size_t universe_bits() const { return words_.size() * 64; }
-
-  /// Sets the bit of every id in `list`. Ids must be < universe.
-  void Stamp(std::span<const uint32_t> list);
-
-  /// Clears the bits of every id in `list` — the exact inverse of
-  /// Stamp(list). Pass the same list that was stamped.
-  void Unstamp(std::span<const uint32_t> list);
-
-  /// Zeroes the whole bitmap (O(universe); only for recovery when the
-  /// previously stamped list is no longer known).
-  void Clear();
-
-  bool Test(uint32_t v) const {
-    return (words_[v >> 6] >> (v & 63)) & 1u;
-  }
-
-  /// min(|stamped ∩ probe|, cap) by probing each element of `probe`.
-  /// Same cap semantics as the span kernels.
-  size_t CountCommon(std::span<const uint32_t> probe, size_t cap) const;
-
- private:
-  std::vector<uint64_t> words_;
-};
 
 }  // namespace rpg::intersect
 

@@ -36,19 +36,16 @@ steiner::WeightedGraph BuildWeightedSubgraph(const graph::Subgraph& sg,
 void BuildWeightedSubgraph(const graph::Subgraph& sg,
                            const rank::WeightModel& weights,
                            steiner::WeightedGraphBuilder* builder,
-                           steiner::WeightedGraph* out,
-                           rank::ConScratch* con_scratch) {
+                           steiner::WeightedGraph* out) {
   builder->Reset(sg.num_nodes());
   builder->ReserveEdges(sg.num_edges());
   for (uint32_t local = 0; local < sg.num_nodes(); ++local) {
-    PaperId gu = sg.ToGlobal(local);
-    builder->SetNodeWeight(local, weights.NodeWeight(gu));
+    builder->SetNodeWeight(local, weights.NodeWeight(sg.ToGlobal(local)));
     // Out-edges only, so each undirected edge is added exactly once.
-    // Row-major order is what makes the ConScratch bitmap pay: gu is
-    // stamped once and probed for the whole row.
-    for (uint32_t cited : sg.OutNeighbors(local)) {
-      PaperId gv = sg.ToGlobal(cited);
-      builder->AddEdge(local, cited, weights.EdgeCost(gu, gv, con_scratch));
+    std::span<const uint32_t> cited = sg.OutNeighbors(local);
+    std::span<const uint64_t> positions = sg.OutEdgePositions(local);
+    for (size_t k = 0; k < cited.size(); ++k) {
+      builder->AddEdge(local, cited[k], weights.EdgeCostAt(positions[k]));
     }
   }
   builder->BuildInto(out);
@@ -181,8 +178,7 @@ Result<RePagerResult> RePaGer::Generate(const std::string& query,
     // ---- Step 5: NEWST over the weighted sub-citation graph ----------
     Timer steiner_timer;
     if (trace) t0 = trace->NowNs();
-    BuildWeightedSubgraph(sg, *weights_, &scratch->builder_, &scratch->wg_,
-                          &scratch->con_scratch_);
+    BuildWeightedSubgraph(sg, *weights_, &scratch->builder_, &scratch->wg_);
     const steiner::WeightedGraph& wg = scratch->wg_;
     if (trace) {
       trace->AddSpan(obs::Stage::kEdgeCost, t0, trace->NowNs() - t0,

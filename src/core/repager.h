@@ -117,10 +117,6 @@ class QueryScratch {
   graph::Subgraph sg_;
   steiner::WeightedGraphBuilder builder_{0};
   steiner::WeightedGraph wg_;
-  /// Dense-bitmap scratch for the Eq. (2) Con() counts — stamped once
-  /// per high-degree subgraph row in BuildWeightedSubgraph, the single
-  /// hottest stage of the pipeline (BENCH_table4 `stages.edge_cost_ms`).
-  rank::ConScratch con_scratch_;
   std::vector<graph::PaperId> candidates_;
   std::vector<uint32_t> local_terminals_;
   FlatSet<graph::PaperId> excluded_;
@@ -169,20 +165,18 @@ class RePaGer {
 
 /// Builds the node-and-edge weighted Steiner input over a subgraph
 /// (shared by RePaGer and the runtime benchmarks): node weights from
-/// Eq. (3), undirected edges with Eq. (2) costs.
+/// Eq. (3), undirected edges with Eq. (2) costs read from the weight
+/// model's per-edge con column. `sg` must be a subgraph of the graph
+/// `weights` was built over.
 steiner::WeightedGraph BuildWeightedSubgraph(const graph::Subgraph& sg,
                                              const rank::WeightModel& weights);
 
 /// Scratch-reusing variant: accumulates into the caller's builder and
 /// writes the CSR result into `*out`, reusing both objects' capacity.
-/// `con_scratch` (optional) routes every Eq. (2) count through the
-/// per-source dense-bitmap fast path; results are identical with or
-/// without it (rank::ConScratch contract).
 void BuildWeightedSubgraph(const graph::Subgraph& sg,
                            const rank::WeightModel& weights,
                            steiner::WeightedGraphBuilder* builder,
-                           steiner::WeightedGraph* out,
-                           rank::ConScratch* con_scratch = nullptr);
+                           steiner::WeightedGraph* out);
 
 }  // namespace rpg::core
 

@@ -46,12 +46,13 @@ Result<std::unique_ptr<Workbench>> Workbench::Create(
                                         std::move(docs),
                                         search::AMinerProfile()));
 
-  // Global PageRank + weight model.
+  // Global PageRank, the Eq. (2) con column + weight model.
   wb->pagerank_norm_ =
       rank::NormalizeByMax(rank::PageRank(corpus.citations));
+  wb->con_column_ = rank::BuildConColumn(corpus.citations);
   wb->weights_ = std::make_unique<rank::WeightModel>(
       &corpus.citations, wb->pagerank_norm_, wb->venue_scores_,
-      options.params);
+      wb->con_column_, options.params);
 
   // Semantic matcher (SciBERT substitute).
   wb->matcher_ = std::make_unique<match::SemanticMatcher>(wb->titles_,

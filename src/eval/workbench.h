@@ -68,6 +68,7 @@ class Workbench {
   std::unique_ptr<core::RePaGer> repager_;
   std::vector<double> pagerank_norm_;
   std::vector<double> venue_scores_;
+  std::vector<uint8_t> con_column_;  ///< rank::BuildConColumn of the corpus
   std::vector<std::string> titles_;
   std::vector<uint16_t> years_;
 };

@@ -39,6 +39,11 @@ class CitationGraph {
             in_offsets_[v + 1] - in_offsets_[v]};
   }
 
+  /// Out-CSR position of u's first reference: OutNeighbors(u)[k] is
+  /// edge OutEdgeBegin(u) + k. Per-edge columns (rank::BuildConColumn)
+  /// are indexed by this position.
+  uint64_t OutEdgeBegin(PaperId u) const { return out_offsets_[u]; }
+
   size_t OutDegree(PaperId u) const {
     return out_offsets_[u + 1] - out_offsets_[u];
   }

@@ -63,22 +63,32 @@ void Subgraph::Assign(const CitationGraph& g, const std::vector<PaperId>& nodes,
   // Fill pass. In-spans come out sorted for free (the outer loop visits
   // citing locals in ascending order); out-spans are ordered by the cited
   // paper's *global* id and need a per-span sort to be ascending in local
-  // ids.
+  // ids. The sort key packs (local target, index in the global row) so
+  // each edge's global CSR position travels with its target.
   out_targets_.resize(num_edges_);
+  out_positions_.resize(num_edges_);
   in_targets_.resize(num_edges_);
   scratch->out_cursor_.assign(out_offsets_.begin(), out_offsets_.end() - 1);
   scratch->in_cursor_.assign(in_offsets_.begin(), in_offsets_.end() - 1);
   for (uint32_t local = 0; local < k; ++local) {
-    for (PaperId cited : g.OutNeighbors(locals_to_global_[local])) {
-      uint32_t target = map[cited];
+    std::span<const PaperId> row = g.OutNeighbors(locals_to_global_[local]);
+    for (uint32_t index = 0; index < row.size(); ++index) {
+      uint32_t target = map[row[index]];
       if (target == UINT32_MAX) continue;
-      out_targets_[scratch->out_cursor_[local]++] = target;
+      out_positions_[scratch->out_cursor_[local]++] =
+          (uint64_t{target} << 32) | index;
       in_targets_[scratch->in_cursor_[target]++] = local;
     }
   }
   for (uint32_t local = 0; local < k; ++local) {
-    std::sort(out_targets_.begin() + out_offsets_[local],
-              out_targets_.begin() + out_offsets_[local + 1]);
+    const uint64_t begin = out_offsets_[local], end = out_offsets_[local + 1];
+    std::sort(out_positions_.begin() + begin, out_positions_.begin() + end);
+    const uint64_t row_begin = g.OutEdgeBegin(locals_to_global_[local]);
+    for (uint64_t e = begin; e < end; ++e) {
+      const uint64_t key = out_positions_[e];
+      out_targets_[e] = static_cast<uint32_t>(key >> 32);
+      out_positions_[e] = row_begin + (key & 0xFFFFFFFFu);
+    }
   }
 
   // Sorted index for ToLocal.

@@ -83,6 +83,13 @@ class Subgraph {
     return {out_targets_.data() + out_offsets_[local],
             out_offsets_[local + 1] - out_offsets_[local]};
   }
+  /// Global out-CSR position (CitationGraph::OutEdgeBegin) of each
+  /// out-edge of `local`, parallel to OutNeighbors(local): per-edge
+  /// columns of the full graph are read at these positions.
+  std::span<const uint64_t> OutEdgePositions(uint32_t local) const {
+    return {out_positions_.data() + out_offsets_[local],
+            out_offsets_[local + 1] - out_offsets_[local]};
+  }
   /// Local in-neighbors (citing papers inside the subgraph), sorted.
   std::span<const uint32_t> InNeighbors(uint32_t local) const {
     return {in_targets_.data() + in_offsets_[local],
@@ -101,6 +108,7 @@ class Subgraph {
   // construction on, so accessors stay in bounds for every valid local.
   std::vector<uint64_t> out_offsets_{0};
   std::vector<uint32_t> out_targets_;
+  std::vector<uint64_t> out_positions_;  // parallel to out_targets_
   std::vector<uint64_t> in_offsets_{0};
   std::vector<uint32_t> in_targets_;
   size_t num_edges_ = 0;

@@ -1,9 +1,11 @@
 #ifndef RPG_RANK_WEIGHT_MODEL_H_
 #define RPG_RANK_WEIGHT_MODEL_H_
 
+#include <array>
+#include <cstdint>
+#include <span>
 #include <vector>
 
-#include "common/intersect.h"
 #include "graph/citation_graph.h"
 
 namespace rpg::rank {
@@ -18,46 +20,19 @@ struct NewstParams {
   double b = 0.3;
 };
 
-class WeightModel;
+/// Upper bound of the Eq. (2) relatedness count con(i, j); every count
+/// lies in [1, kConCap].
+inline constexpr int kConCap = 7;
 
-/// Reusable per-query scratch for the dense-bitmap Con() path.
-///
-/// Edge-cost assignment evaluates Con(i, j) for every neighbor j of one
-/// source row i before moving to the next row (core::BuildWeightedSubgraph).
-/// When row i is high-degree, re-merging i's adjacency for every j is the
-/// dominant cost of the whole pipeline; the scratch instead stamps i's
-/// out- and in-lists into two dense bitmaps ONCE per source and answers
-/// each Con(i, j) by probing j's (typically short) lists in O(|adj(j)|).
-/// Switching sources unstamps the previous lists (O(degree), not
-/// O(universe)), so a long-lived scratch — one per core::QueryScratch —
-/// never pays a full clear and is allocation-free after warm-up.
-///
-/// Low-degree sources skip the stamping and fall through to the adaptive
-/// merge/gallop kernels, so Con(i, j, &scratch) is never slower than
-/// Con(i, j) — and, by the shared min(|a ∩ b|, cap) kernel contract,
-/// always returns the identical count (pinned edge-for-edge by
-/// tests/core/golden_fingerprint_test.cc).
-class ConScratch {
- public:
-  ConScratch() = default;
-  ConScratch(const ConScratch&) = delete;
-  ConScratch& operator=(const ConScratch&) = delete;
-
- private:
-  friend class WeightModel;
-
-  static constexpr graph::PaperId kNoSource = 0xFFFFFFFFu;
-
-  /// Stamp source i's adjacency if it is dense enough to pay off;
-  /// no-op when (graph, i) is already the stamped source.
-  void SetSource(const graph::CitationGraph& g, graph::PaperId i);
-
-  intersect::NeighborBitmap out_bits_;
-  intersect::NeighborBitmap in_bits_;
-  const graph::CitationGraph* g_ = nullptr;
-  graph::PaperId source_ = kNoSource;
-  bool stamped_ = false;
-};
+/// Eq. (2)'s con(i, j) for every citation edge of `g`, aligned with the
+/// out-CSR: entry e is the count of the e-th out-edge in (source,
+/// position-in-OutNeighbors) order. One byte per edge, values in
+/// [1, kConCap]. A pure function of the graph, so it is computed once
+/// per graph (eval::Workbench, snapshot::WriteSnapshot) and stored with
+/// the snapshot; the query path only looks counts up. Rows are split
+/// into blocks run on a ThreadPool of hardware_concurrency() workers;
+/// the result does not depend on the split.
+std::vector<uint8_t> BuildConColumn(const graph::CitationGraph& g);
 
 /// Node and edge weights for the weighted citation graph (§IV-A step 2).
 ///
@@ -74,19 +49,25 @@ class ConScratch {
 class WeightModel {
  public:
   /// `pagerank_norm` and `venue_scores` are per-paper arrays (same size
-  /// as g.num_nodes()), both on a [0, 1] scale. The graph must outlive
-  /// the model.
+  /// as g.num_nodes()), both on a [0, 1] scale. `con_column` is
+  /// BuildConColumn(*g), or the same bytes loaded from a snapshot. The
+  /// graph and the column must outlive the model.
   WeightModel(const graph::CitationGraph* g, std::vector<double> pagerank_norm,
-              std::vector<double> venue_scores, const NewstParams& params = {});
+              std::vector<double> venue_scores,
+              std::span<const uint8_t> con_column,
+              const NewstParams& params = {});
 
   /// Eq. (3). The denominator is floored so papers with no venue and
   /// negligible PageRank keep a finite weight.
   double NodeWeight(graph::PaperId i) const;
 
-  /// Relatedness count used by Eq. (2): 1 + common neighbors, capped.
+  /// Relatedness count used by Eq. (2): 1 + common neighbors, capped,
+  /// computed on the fly from the adjacency. This is the kernel
+  /// BuildConColumn runs and the oracle the column is tested against;
+  /// the query path reads the column instead.
   ///
-  /// Cap semantics, spelled out because every intersection kernel and
-  /// both call paths must honor them identically:
+  /// Cap semantics, spelled out because every intersection kernel must
+  /// honor them identically:
   ///  1. shared references (out ∩ out) are counted first, clamped to
   ///     kConCap — i.e. exactly min(|out_i ∩ out_j|, kConCap);
   ///  2. shared citers (in ∩ in) are counted only if budget remains,
@@ -100,17 +81,21 @@ class WeightModel {
   /// both intersections (regression-tested in tests/rank/rank_test.cc).
   int Con(graph::PaperId i, graph::PaperId j) const;
 
-  /// Same count via `scratch`'s dense-bitmap fast path (stamped once per
-  /// source i); identical result by construction, cheaper when many j
-  /// are evaluated against one high-degree i.
-  int Con(graph::PaperId i, graph::PaperId j, ConScratch* scratch) const;
+  /// Eq. (2) with an on-the-fly count; same value as EdgeCostAt on the
+  /// edge's position.
+  double EdgeCost(graph::PaperId i, graph::PaperId j) const {
+    return cost_of_con_[Con(i, j)];
+  }
 
-  /// Eq. (2).
-  double EdgeCost(graph::PaperId i, graph::PaperId j) const;
+  /// Eq. (2) for the citation edge at out-CSR position `edge` (see
+  /// graph::Subgraph::OutEdgePositions): one column byte, one table
+  /// lookup.
+  double EdgeCostAt(uint64_t edge) const {
+    return cost_of_con_[con_column_[edge]];
+  }
 
-  /// Eq. (2) through the scratch fast path; same value, same clamp.
-  double EdgeCost(graph::PaperId i, graph::PaperId j,
-                  ConScratch* scratch) const;
+  /// The per-edge con counts this model costs edges with.
+  std::span<const uint8_t> con_column() const { return con_column_; }
 
   const NewstParams& params() const { return params_; }
 
@@ -121,10 +106,13 @@ class WeightModel {
   const graph::CitationGraph* g_;
   std::vector<double> pagerank_norm_;
   std::vector<double> venue_scores_;
+  std::span<const uint8_t> con_column_;
   NewstParams params_;
+  /// cost_of_con_[c] = α / c^β for c in [1, kConCap] (entry 0 unused):
+  /// Eq. (2) evaluated once per count value with the same expression.
+  std::array<double, kConCap + 1> cost_of_con_{};
 
   static constexpr double kDenomFloor = 0.02;
-  static constexpr int kConCap = 7;
 };
 
 }  // namespace rpg::rank

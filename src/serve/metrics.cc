@@ -8,10 +8,11 @@
 namespace rpg::serve {
 
 std::vector<double> LatencyBucketEdgesMs() {
-  // 0.01 ms .. 100000 ms, 4 buckets per decade (x ~1.78 per step).
+  // 1e-4 ms (100 ns) .. 1e5 ms, 4 buckets per decade (x ~1.78 per
+  // step). Exponents are exact quarters, so whole decades are exact.
   std::vector<double> edges;
-  for (int i = 0; i <= 28; ++i) {
-    edges.push_back(0.01 * std::pow(10.0, static_cast<double>(i) / 4.0));
+  for (int i = -16; i <= 20; ++i) {
+    edges.push_back(std::pow(10.0, static_cast<double>(i) / 4.0));
   }
   return edges;
 }

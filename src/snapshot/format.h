@@ -25,7 +25,7 @@ namespace rpg::snapshot {
 
 /// "RPGSNAP1" as little-endian u64.
 inline constexpr uint64_t kMagic = 0x3150414E53475052ULL;
-inline constexpr uint32_t kVersion = 1;
+inline constexpr uint32_t kVersion = 2;
 
 /// Header flag bits.
 inline constexpr uint32_t kFlagRelabeled = 1u << 0;
@@ -83,6 +83,10 @@ enum class SectionId : uint32_t {
   kParams = 13,      ///< f64[5] NEWST {alpha, beta, gamma, a, b}
   /// u32[n] new-id -> original-id map; present iff kFlagRelabeled.
   kIdMap = 14,
+  /// u8[num_edges] Eq. (2) con counts aligned with the stored out-CSR
+  /// (rank::BuildConColumn), each in [1, rank::kConCap]. Added in
+  /// version 2. Loading validates it and never recomputes it.
+  kConColumn = 15,
 };
 
 /// One TOC entry. `offset` is absolute from file start, 8-byte aligned;

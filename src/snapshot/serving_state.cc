@@ -1,5 +1,6 @@
 #include "snapshot/serving_state.h"
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 
@@ -140,6 +141,20 @@ Status ServingState::Build() {
                                            std::move(targets)));
   }
 
+  // The Eq. (2) con column is served straight out of the mapping. It
+  // is validated (one byte per stored edge, each a possible count) and
+  // never recomputed: recomputing would cost a full pass of set
+  // intersections on every load.
+  {
+    RPG_ASSIGN_OR_RETURN(con_column_, reader.Section(SectionId::kConColumn));
+    if (con_column_.size() != graph_.num_edges() ||
+        std::any_of(con_column_.begin(), con_column_.end(), [](uint8_t c) {
+          return c < 1 || c > rank::kConCap;
+        })) {
+      return Malformed("con_column");
+    }
+  }
+
   // Per-paper arrays.
   {
     RPG_ASSIGN_OR_RETURN(std::span<const uint8_t> bytes,
@@ -276,8 +291,8 @@ Status ServingState::Build() {
                                              min_year, max_year));
   matcher_ = match::SemanticMatcher::FromPrecomputed(embeddings, n,
                                                      embed_options);
-  weights_ = std::make_unique<rank::WeightModel>(&graph_, pagerank_,
-                                                 venue_scores_, params_);
+  weights_ = std::make_unique<rank::WeightModel>(
+      &graph_, pagerank_, venue_scores_, con_column_, params_);
   repager_ = std::make_unique<core::RePaGer>(&graph_, engine_.get(),
                                              weights_.get(), &years_);
   return Status::OK();

@@ -8,10 +8,11 @@
 /// zero-copy-backed semantic matcher, and a RePaGer wired over all of
 /// them — the snapshot-side twin of eval::Workbench, minus the synthetic
 /// corpus and survey bank. Everything decoded is validated; the
-/// embeddings matrix is the one section served straight out of the
-/// mapping (lazy page-in), which the owned SnapshotReader keeps alive.
+/// embeddings matrix and the Eq. (2) con column are served straight out
+/// of the mapping, which the owned SnapshotReader keeps alive.
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,6 +70,7 @@ class ServingState {
   std::vector<double> venue_scores_;
   rank::NewstParams params_;
   std::vector<graph::PaperId> new_to_old_;
+  std::span<const uint8_t> con_column_;  ///< into the reader's mapping
   std::unique_ptr<search::SearchEngine> engine_;
   std::unique_ptr<match::SemanticMatcher> matcher_;
   std::unique_ptr<rank::WeightModel> weights_;

@@ -31,6 +31,7 @@ const char* SectionName(uint32_t id) {
     case SectionId::kEmbeddings: return "embeddings";
     case SectionId::kParams: return "params";
     case SectionId::kIdMap: return "id_map";
+    case SectionId::kConColumn: return "con_column";
   }
   return "unknown";
 }
@@ -151,7 +152,7 @@ Status SnapshotReader::Validate(const SnapshotReaderOptions& options,
       SectionId::kVenueScores, SectionId::kPagerank,  SectionId::kVocab,
       SectionId::kPostings,   SectionId::kDocLengths, SectionId::kIndexMeta,
       SectionId::kEngineMeta, SectionId::kEmbedMeta,  SectionId::kEmbeddings,
-      SectionId::kParams,
+      SectionId::kParams,     SectionId::kConColumn,
   };
   for (SectionId id : kRequired) {
     if (!HasSection(id)) {

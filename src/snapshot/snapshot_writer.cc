@@ -5,6 +5,7 @@
 #include <cstring>
 #include <fstream>
 #include <numeric>
+#include <utility>
 
 #include "common/string_util.h"
 #include "graph/graph_io.h"
@@ -230,31 +231,43 @@ Status WriteSnapshot(const SnapshotInput& input, const std::string& path,
   SnapshotFile file(path);
   if (!file.ok()) return Status::IoError("snapshot: cannot open " + path);
 
-  // Graph (out-direction only; the reader rebuilds the transpose).
+  // Graph (out-direction only; the reader rebuilds the transpose) and
+  // the Eq. (2) con column aligned with it. Con counts do not depend on
+  // ids, so relabeling only moves each count along with its edge.
   {
+    const graph::CitationGraph& g = *input.graph;
+    std::vector<uint8_t> column = rank::BuildConColumn(g);
     std::vector<uint8_t> buf;
     if (options.relabel) {
       std::vector<uint64_t> offsets;
       std::vector<PaperId> targets;
+      std::vector<uint8_t> permuted;
       offsets.reserve(n + 1);
-      targets.reserve(input.graph->num_edges());
+      targets.reserve(g.num_edges());
+      permuted.reserve(g.num_edges());
       offsets.push_back(0);
-      std::vector<PaperId> span;
+      std::vector<std::pair<PaperId, uint8_t>> row;
       for (size_t u = 0; u < n; ++u) {
-        span.clear();
-        for (PaperId v : input.graph->OutNeighbors(perm[u])) {
-          span.push_back(inv[v]);
+        row.clear();
+        uint64_t e = g.OutEdgeBegin(perm[u]);
+        for (PaperId v : g.OutNeighbors(perm[u])) {
+          row.emplace_back(inv[v], column[e++]);
         }
-        std::sort(span.begin(), span.end());
-        targets.insert(targets.end(), span.begin(), span.end());
+        std::sort(row.begin(), row.end());
+        for (const auto& [v, con] : row) {
+          targets.push_back(v);
+          permuted.push_back(con);
+        }
         offsets.push_back(targets.size());
       }
       EncodeAdjacency(offsets, targets, &buf);
+      column = std::move(permuted);
     } else {
-      EncodeAdjacency(graph::GraphIo::OutOffsets(*input.graph),
-                      graph::GraphIo::OutTargets(*input.graph), &buf);
+      EncodeAdjacency(graph::GraphIo::OutOffsets(g),
+                      graph::GraphIo::OutTargets(g), &buf);
     }
     file.AddSection(SectionId::kGraphOut, buf);
+    file.AddSection(SectionId::kConColumn, column);
   }
 
   file.AddSection(SectionId::kTitles, EncodeTitles(*input.titles, perm));

@@ -1,6 +1,5 @@
-// Property/differential suite for the sorted-set intersection kernels
-// (ISSUE 9): every kernel — merge, gallop, blocked, adaptive, bitmap —
-// is held to a std::set_intersection oracle across size ratios from 1:1
+// Property/differential suite for the sorted-set intersection kernels:
+// every kernel — merge, gallop, blocked, adaptive — is held to a std::set_intersection oracle across size ratios from 1:1
 // to 1:10^4, plus exhaustive boundary cases. The kernels' shared
 // contract is that each returns EXACTLY min(|a ∩ b|, cap), so they are
 // interchangeable inside WeightModel::Con's two-phase capped count; a
@@ -56,18 +55,6 @@ void ExpectAllKernelsMatchOracle(const List& a, const List& b, size_t cap) {
   // ordering; exercise both.
   EXPECT_EQ(CountCommonGallop(a, b, cap), want) << "gallop";
   EXPECT_EQ(CountCommonGallop(b, a, cap), want) << "gallop swapped";
-  // Bitmap path: stamp a, probe b — and the reverse.
-  uint32_t universe = 1;
-  if (!a.empty()) universe = std::max(universe, a.back() + 1);
-  if (!b.empty()) universe = std::max(universe, b.back() + 1);
-  NeighborBitmap bm;
-  bm.EnsureUniverse(universe);
-  bm.Stamp(a);
-  EXPECT_EQ(bm.CountCommon(b, cap), want) << "bitmap stamp-a";
-  bm.Unstamp(a);
-  bm.Stamp(b);
-  EXPECT_EQ(bm.CountCommon(a, cap), want) << "bitmap stamp-b";
-  bm.Unstamp(b);
 }
 
 TEST(IntersectTest, ExhaustiveBoundaryCases) {
@@ -143,38 +130,6 @@ TEST(IntersectTest, CapEquivalenceAgainstUncapped) {
       EXPECT_EQ(CountCommon(a, b, cap), std::min(full, cap));
     }
   }
-}
-
-TEST(IntersectTest, BitmapStampUnstampRoundTrip) {
-  // Unstamp(list) must restore the all-zero bitmap exactly, including
-  // when the next stamped list shares words with the previous one —
-  // that is what lets ConScratch switch sources in O(degree).
-  Rng rng(55);
-  NeighborBitmap bm;
-  bm.EnsureUniverse(1024);
-  for (int round = 0; round < 50; ++round) {
-    List next = RandomSortedList(&rng, 1 + rng.NextBounded(101), 1024);
-    bm.Stamp(next);
-    for (uint32_t v : next) EXPECT_TRUE(bm.Test(v));
-    List probe = RandomSortedList(&rng, 64, 1024);
-    EXPECT_EQ(bm.CountCommon(probe, 1000), Oracle(next, probe, 1000));
-    bm.Unstamp(next);
-  }
-  for (uint32_t v = 0; v < 1024; ++v) {
-    EXPECT_FALSE(bm.Test(v)) << "bit " << v << " leaked through unstamp";
-  }
-}
-
-TEST(IntersectTest, BitmapUniverseGrowthKeepsStampedBits) {
-  NeighborBitmap bm;
-  bm.EnsureUniverse(10);
-  List small = {1, 5, 9};
-  bm.Stamp(small);
-  bm.EnsureUniverse(100000);  // grow with live bits: must not drop them
-  List probe = {1, 5, 9, 50000, 99999};
-  EXPECT_EQ(bm.CountCommon(probe, 100), 3u);
-  bm.Unstamp(small);
-  EXPECT_EQ(bm.CountCommon(probe, 100), 0u);
 }
 
 TEST(IntersectTest, AdaptiveDispatchCoversBothRegimes) {

@@ -121,23 +121,25 @@ TEST_F(GoldenFingerprintFixture, PipelineResultsMatchGolden) {
 }
 
 TEST_F(GoldenFingerprintFixture, ConCountsOverEveryEdgeMatchGolden) {
-  // The Eq. (2) relatedness count for every citation edge, both
-  // orientations: this is the exact integer surface the intersection
-  // kernels compute, so a galloping/bitmap bug cannot hide behind
-  // downstream cost smoothing.
+  // The Eq. (2) relatedness count for every citation edge, read from the
+  // per-edge column the query path uses: this is the exact integer
+  // surface, so a column or kernel bug cannot hide behind downstream
+  // cost smoothing. The constant predates the column, so landing on it
+  // proves the column reproduces the original per-query counts.
   const auto& g = wb_->corpus().citations;
   const auto& weights = wb_->weights();
+  const auto column = weights.con_column();
+  ASSERT_EQ(column.size(), g.num_edges());
   Fnv64 fp;
-  rank::ConScratch con_scratch;
   for (graph::PaperId u = 0; u < g.num_nodes(); ++u) {
+    uint64_t e = g.OutEdgeBegin(u);
     for (graph::PaperId v : g.OutNeighbors(u)) {
-      int c = weights.Con(u, v);
+      const int c = column[e];
       fp.Add(static_cast<uint64_t>(c));
-      // The scratch/bitmap path must agree count-for-count with the
-      // scratch-free kernels, and the capped two-phase count must be
-      // order-independent.
-      EXPECT_EQ(c, weights.Con(u, v, &con_scratch));
-      fp.AddCost(weights.EdgeCost(u, v));
+      // The on-the-fly kernels are the oracle for the column.
+      EXPECT_EQ(c, weights.Con(u, v));
+      fp.AddCost(weights.EdgeCostAt(e));
+      ++e;
     }
   }
   MaybePrint("kGoldenConCounts", fp.value());

@@ -259,6 +259,37 @@ TEST(SubgraphTest, AssignWithSharedScratchMatchesFreshBuilds) {
   }
 }
 
+TEST(SubgraphTest, OutEdgePositionsPointAtTheGlobalEdge) {
+  // Locals are assigned out of global order, so the per-span sort must
+  // carry each edge's global out-CSR position along with its target.
+  GraphBuilder b(40);
+  uint64_t state = 7;
+  for (int e = 0; e < 400; ++e) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    const auto u = static_cast<PaperId>((state >> 33) % 40);
+    const auto v = static_cast<PaperId>((state >> 13) % 40);
+    if (u != v) b.AddCitation(u, v);
+  }
+  CitationGraph g = b.Build().value();
+  const std::vector<PaperId>& targets = GraphIo::OutTargets(g);
+  Subgraph sg(g, {31, 4, 17, 0, 22, 9, 38, 13, 26, 5, 35, 11});
+  size_t seen = 0;
+  for (uint32_t local = 0; local < sg.num_nodes(); ++local) {
+    const PaperId gu = sg.ToGlobal(local);
+    auto cited = sg.OutNeighbors(local);
+    auto positions = sg.OutEdgePositions(local);
+    ASSERT_EQ(cited.size(), positions.size());
+    for (size_t k = 0; k < cited.size(); ++k) {
+      EXPECT_GE(positions[k], g.OutEdgeBegin(gu));
+      EXPECT_LT(positions[k], g.OutEdgeBegin(gu) + g.OutDegree(gu));
+      EXPECT_EQ(targets[positions[k]], sg.ToGlobal(cited[k]));
+      ++seen;
+    }
+  }
+  EXPECT_EQ(seen, sg.num_edges());
+  EXPECT_GT(seen, 10u);
+}
+
 TEST(SubgraphTest, DefaultConstructedIsEmpty) {
   Subgraph sg;
   EXPECT_EQ(sg.num_nodes(), 0u);

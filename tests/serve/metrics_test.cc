@@ -101,6 +101,18 @@ TEST(LatencyBucketsTest, EdgesCoverMicrosecondsToMinutes) {
   for (size_t i = 1; i < edges.size(); ++i) EXPECT_GT(edges[i], edges[i - 1]);
 }
 
+TEST(LatencyBucketsTest, SubMicrosecondSamplesLandInBuckets) {
+  // A cache hit can finish in well under a microsecond; it must be
+  // bucketed, not dumped into underflow where no quantile can see it.
+  std::vector<double> edges = LatencyBucketEdgesMs();
+  EXPECT_LE(edges.front(), 1e-4);
+  Histogram h(edges);
+  h.Add(0.0002);  // 200 ns
+  h.Add(0.004);   // 4 µs
+  EXPECT_EQ(h.underflow(), 0u);
+  EXPECT_EQ(h.total(), 2u);
+}
+
 // Regression pins for the Quantile edge cases (docs/observability.md):
 // an empty histogram must answer 0 for every q (not NaN or an edge), and
 // a single observation must come back exactly (no within-bucket

@@ -276,10 +276,12 @@ TEST(ServeEngineTest, OverloadShedsWith429AndRetryAfter) {
 
 TEST(ServeEngineTest, QueueDeadlineExpiryMapsTo503WithRetryAfter) {
   const eval::Workbench& wb = SharedWorkbench();
-  // One solve at a time with a 1 ms queue deadline: the tail of a burst
+  // One solve at a time with a 5 ms queue deadline: the tail of a burst
   // has aged out by the time the dispatcher reaches it (each predecessor
   // costs a full pipeline solve), and must be answered with a typed
-  // DeadlineExceeded -> 503 instead of being solved for nobody.
+  // DeadlineExceeded -> 503 instead of being solved for nobody. The
+  // burst is long enough that the tail ages out even when a solve of
+  // this small corpus takes well under a millisecond.
   ServeEngineOptions options;
   options.num_threads = 1;
   options.batcher.max_batch_size = 1;
@@ -289,7 +291,7 @@ TEST(ServeEngineTest, QueueDeadlineExpiryMapsTo503WithRetryAfter) {
                              &wb.years());
   const auto& entry = wb.bank().Get(0);
 
-  constexpr int kBurst = 10;
+  constexpr int kBurst = 40;
   std::mutex mu;
   std::vector<ui::HttpResponse> responses;
   for (int i = 0; i < kBurst; ++i) {

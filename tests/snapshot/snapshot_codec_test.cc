@@ -10,9 +10,12 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "rank/weight_model.h"
 #include "snapshot/byte_io.h"
 #include "snapshot/checksum.h"  // Fnv1a64 for re-sealing forged headers
 #include "snapshot/codec.h"
@@ -375,6 +378,127 @@ TEST(SnapshotReaderTest, TocLiesFailClosed) {
     EXPECT_EQ(OpenCode(reseal(h, std::move(bad))),
               StatusCode::kInvalidArgument);
   }
+}
+
+// ------------------------------------------------- con column section
+
+/// A snapshot image with its TOC parsed, so a test can forge section
+/// bytes or bounds and re-seal every checksum: the lie then passes the
+/// reader's armor and must be caught by the loader's own validation.
+struct ForgeableImage {
+  explicit ForgeableImage(std::vector<uint8_t> image)
+      : bytes(std::move(image)) {
+    std::memcpy(&header, bytes.data(), sizeof(header));
+    entries.resize(header.section_count);
+    std::memcpy(entries.data(), bytes.data() + header.toc_offset,
+                header.toc_size);
+  }
+
+  SectionEntry& Entry(SectionId id) {
+    for (SectionEntry& e : entries) {
+      if (e.id == static_cast<uint32_t>(id)) return e;
+    }
+    ADD_FAILURE() << "section " << static_cast<uint32_t>(id) << " missing";
+    return entries.front();
+  }
+
+  /// Recomputes every section, TOC and header checksum.
+  std::vector<uint8_t> Sealed() {
+    for (SectionEntry& e : entries) {
+      e.checksum = Fnv1a64(bytes.data() + e.offset, e.size);
+    }
+    std::memcpy(bytes.data() + header.toc_offset, entries.data(),
+                header.toc_size);
+    header.toc_checksum = Fnv1a64(bytes.data() + header.toc_offset,
+                                  header.toc_size);
+    header.header_checksum =
+        Fnv1a64(&header, offsetof(SnapshotHeader, header_checksum));
+    std::memcpy(bytes.data(), &header, sizeof(header));
+    return bytes;
+  }
+
+  std::vector<uint8_t> bytes;
+  SnapshotHeader header;
+  std::vector<SectionEntry> entries;
+};
+
+/// Loads `bytes` with checksums verified; expects a typed
+/// InvalidArgument whose message names `section`.
+void ExpectRejectedNaming(std::vector<uint8_t> bytes, const char* section,
+                          const char* what) {
+  auto state_or = ServingState::LoadFromBuffer(std::move(bytes));
+  ASSERT_FALSE(state_or.ok()) << what;
+  EXPECT_EQ(state_or.status().code(), StatusCode::kInvalidArgument) << what;
+  EXPECT_NE(state_or.status().ToString().find(section), std::string::npos)
+      << what << ": " << state_or.status().ToString();
+}
+
+TEST(ConColumnSectionTest, WrongLengthFailsClosed) {
+  for (int delta : {-1, +1}) {
+    ForgeableImage image(TestSnapshotImage(/*relabel=*/false));
+    SectionEntry& e = image.Entry(SectionId::kConColumn);
+    ASSERT_GT(e.size, 0u);
+    e.size += delta;  // +1 still ends inside the file (padding or TOC)
+    ExpectRejectedNaming(image.Sealed(), "con_column",
+                         delta < 0 ? "one byte short" : "one byte long");
+  }
+}
+
+TEST(ConColumnSectionTest, OutOfRangeCountsFailClosed) {
+  for (uint8_t bad : {uint8_t{0}, uint8_t{rank::kConCap + 1}}) {
+    for (bool last : {false, true}) {
+      ForgeableImage image(TestSnapshotImage(/*relabel=*/false));
+      const SectionEntry& e = image.Entry(SectionId::kConColumn);
+      image.bytes[e.offset + (last ? e.size - 1 : 0)] = bad;
+      ExpectRejectedNaming(image.Sealed(), "con_column",
+                           bad == 0 ? "count 0" : "count 8");
+    }
+  }
+}
+
+TEST(ConColumnSectionTest, FlippedByteFailsClosed) {
+  auto image = TestSnapshotImage(/*relabel=*/false);
+  ForgeableImage parsed(image);
+  const SectionEntry& e = parsed.Entry(SectionId::kConColumn);
+  image[e.offset + e.size / 2] ^= 0x01;  // not re-sealed
+  ExpectRejectedNaming(std::move(image), "con_column", "flipped byte");
+}
+
+/// The loader validates the stored column and serves it as stored,
+/// straight out of the snapshot bytes: a count that is in range but
+/// differs from what the graph implies is taken as given, which is
+/// what shows load never recomputes the column.
+TEST(ConColumnSectionTest, LoadServesStoredColumnWithoutRecomputing) {
+  ForgeableImage image(TestSnapshotImage(/*relabel=*/false));
+  const SectionEntry& e = image.Entry(SectionId::kConColumn);
+  const uint8_t stored = image.bytes[e.offset];
+  const uint8_t forged = static_cast<uint8_t>(stored % rank::kConCap + 1);
+  image.bytes[e.offset] = forged;
+  auto state_or = ServingState::LoadFromBuffer(image.Sealed());
+  ASSERT_TRUE(state_or.ok()) << state_or.status().ToString();
+  const ServingState& state = *state_or.value();
+  EXPECT_EQ(state.weights().con_column()[0], forged);
+  auto section = state.reader().Section(SectionId::kConColumn).value();
+  EXPECT_EQ(state.weights().con_column().data(), section.data());
+}
+
+TEST(ConColumnSectionTest, VersionOneFileReportsUnsupportedVersion) {
+  ForgeableImage image(TestSnapshotImage(/*relabel=*/false));
+  image.header.version = 1;
+  auto reader_or = SnapshotReader::FromBuffer(image.Sealed());
+  ASSERT_FALSE(reader_or.ok());
+  EXPECT_EQ(reader_or.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(reader_or.status().ToString().find("unsupported version 1"),
+            std::string::npos)
+      << reader_or.status().ToString();
+}
+
+TEST(ConColumnSectionTest, MissingSectionFailsClosed) {
+  ForgeableImage image(TestSnapshotImage(/*relabel=*/false));
+  // Renumber the section to an id readers skip: the required-section
+  // check must notice it is gone.
+  image.Entry(SectionId::kConColumn).id = 63;
+  ExpectRejectedNaming(image.Sealed(), "con_column", "missing section");
 }
 
 /// ServingState over a checksum-disabled reader must still reject

@@ -152,6 +152,23 @@ TEST(SnapshotDifferentialTest, LoadedSubstrateFieldsMatch) {
   }
 }
 
+/// Without relabeling the stored column is the rebuilt substrate's own
+/// column, byte for byte, and every byte is the on-the-fly count.
+TEST(SnapshotDifferentialTest, ConColumnEqualsRebuiltAndOnTheFlyCon) {
+  const eval::Workbench& wb = TestWorkbench();
+  const auto& g = LoadedState().graph();
+  const auto loaded = LoadedState().weights().con_column();
+  const auto rebuilt = wb.weights().con_column();
+  ASSERT_TRUE(std::equal(loaded.begin(), loaded.end(), rebuilt.begin(),
+                         rebuilt.end()));
+  for (graph::PaperId u = 0; u < g.num_nodes(); ++u) {
+    uint64_t e = g.OutEdgeBegin(u);
+    for (graph::PaperId v : g.OutNeighbors(u)) {
+      ASSERT_EQ(loaded[e++], wb.weights().Con(u, v)) << u << "->" << v;
+    }
+  }
+}
+
 /// Writing a snapshot back out of the loaded state reproduces the
 /// original file byte for byte — serialization is a fixed point.
 TEST(SnapshotDifferentialTest, RewriteFromLoadedStateIsByteIdentical) {
@@ -244,6 +261,34 @@ TEST(SnapshotRelabelTest, GraphEdgesMapBackExactly) {
     std::vector<graph::PaperId> orig(orig_span.begin(), orig_span.end());
     std::sort(orig.begin(), orig.end());
     ASSERT_EQ(mapped, orig) << u;
+  }
+}
+
+/// The relabeled con column, mapped back through new_to_old(), holds
+/// the on-the-fly Con of the original edge, edge for edge: the writer
+/// moved each count with its edge, and the loader kept it as stored.
+TEST(SnapshotRelabelTest, ConColumnMapsBackToOnTheFlyCon) {
+  const eval::Workbench& wb = TestWorkbench();
+  const auto& gb = wb.corpus().citations;
+  const ServingState& state = RelabeledState();
+  const auto& ga = state.graph();
+  const auto& map = state.new_to_old();
+  const auto column = state.weights().con_column();
+  ASSERT_EQ(column.size(), ga.num_edges());
+  const auto original = wb.weights().con_column();
+  for (graph::PaperId u = 0; u < ga.num_nodes(); ++u) {
+    uint64_t e = ga.OutEdgeBegin(u);
+    for (graph::PaperId v : ga.OutNeighbors(u)) {
+      const graph::PaperId old_u = map[u], old_v = map[v];
+      ASSERT_EQ(column[e], wb.weights().Con(old_u, old_v)) << u << "->" << v;
+      // And it is the same byte the rebuilt substrate stores for that
+      // edge at its original out-CSR position.
+      auto row = gb.OutNeighbors(old_u);
+      const auto k = std::lower_bound(row.begin(), row.end(), old_v) -
+                     row.begin();
+      ASSERT_EQ(column[e], original[gb.OutEdgeBegin(old_u) + k]);
+      ++e;
+    }
   }
 }
 
